@@ -15,12 +15,7 @@
 //! * `exact_tier_update` — [`CountSketch::update_exact`] per key: the
 //!   always-clamping `i128` path every update used to take, kept as the
 //!   overflow fallback. The gap to `scalar_update` is the price of the
-//!   clamp + saturation bookkeeping that the headroom watermark removes;
-//! * `striped_shared_add` / `atomic_shared_add` — the two shared-handle
-//!   ingestion paths (mutex-per-row vs lock-free `fetch_add`), driven
-//!   from one thread so the numbers isolate per-op synchronization
-//!   overhead from contention. The gap between them is what the
-//!   lock-free sketch buys before any parallelism enters the picture.
+//!   clamp + saturation bookkeeping that the headroom watermark removes.
 //!
 //! Build with `--no-default-features` to also compile the saturation
 //! bitset out of the exact tier (the `saturation-tracking` feature is
@@ -32,8 +27,6 @@
 //! on a noisy VM, prefer re-running and comparing medians.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cs_core::concurrent::SharedCountSketch;
-use cs_core::parallel::AtomicCountSketch;
 use cs_core::{CountSketch, SketchParams};
 use cs_stream::{Zipf, ZipfStreamKind};
 
@@ -79,26 +72,6 @@ fn bench_ingest(c: &mut Criterion) {
             let mut s = CountSketch::new(params, 7);
             for &k in keys {
                 s.update_exact(black_box(k), 1);
-            }
-            s
-        })
-    });
-
-    group.bench_function("striped_shared_add", |b| {
-        b.iter(|| {
-            let s = SharedCountSketch::new(params, 7);
-            for &k in keys {
-                s.add(black_box(k));
-            }
-            s
-        })
-    });
-
-    group.bench_function("atomic_shared_add", |b| {
-        b.iter(|| {
-            let s = AtomicCountSketch::new(params, 7);
-            for &k in keys {
-                s.add(black_box(k));
             }
             s
         })

@@ -25,9 +25,8 @@
 //! benchmarks: mean and trimmed-mean row combiners ([`median`]), a fast
 //! multiply-shift/tabulation hasher configuration
 //! ([`sketch::FastCountSketch`]), and parallel sketching via additivity
-//! — a long-lived sharded worker pool, a lock-free atomic shared handle,
-//! and a deterministic parallel APPROXTOP ([`parallel`]), with the older
-//! spawn-per-call fan-out kept in [`concurrent`].
+//! — a long-lived sharded worker pool and a deterministic parallel
+//! APPROXTOP ([`parallel`]).
 //!
 //! ## Quick example
 //!
@@ -52,7 +51,6 @@
 pub mod approx_top;
 pub mod builder;
 pub mod candidate_top;
-pub mod concurrent;
 pub mod distributed;
 pub mod error;
 pub mod hierarchical;
@@ -62,7 +60,6 @@ pub mod maxchange;
 pub mod median;
 pub mod parallel;
 pub mod params;
-pub mod query;
 pub mod relchange;
 pub mod sketch;
 pub mod snapshot;
@@ -83,11 +80,9 @@ pub mod prelude {
     pub use crate::iceberg::{iceberg, IcebergProcessor, IcebergResult};
     pub use crate::maxchange::{max_change, MaxChangeResult};
     pub use crate::parallel::{
-        parallel_approx_top, sketch_stream_pooled, AtomicCountSketch, ParallelApproxTop,
-        SketchPool,
+        parallel_approx_top, sketch_stream_pooled, ParallelApproxTop, SketchPool,
     };
     pub use crate::params::SketchParams;
-    pub use crate::query::QueryEngine;
     pub use crate::relchange::{max_relative_change, ChangeObjective, RelChangeSketch};
     pub use crate::sketch::{
         CheckedEstimate, CountSketch, EstimateBatchScratch, EstimateScratch, FastCountSketch,

@@ -1,14 +1,12 @@
-//! Multi-core sharded ingestion: worker pool, lock-free atomic sketch,
-//! and a deterministic parallel APPROXTOP.
+//! Multi-core sharded ingestion: a worker pool and a deterministic
+//! parallel APPROXTOP.
 //!
 //! §3.2's additivity (sketches built with the same hash functions merge
 //! by counter addition) is a parallelization license: partition the
 //! stream, sketch the shards independently with the same `(params,
 //! seed)`, and add. This module turns that license into a long-lived
-//! pipeline — [`SketchPool`] — rather than the spawn-per-call fan-out in
-//! [`crate::concurrent`], plus a lock-free shared handle
-//! ([`AtomicCountSketch`]) and a sharded top-k pipeline
-//! ([`ParallelApproxTop`]).
+//! pipeline — [`SketchPool`], the one parallel write path — plus a
+//! sharded top-k pipeline ([`ParallelApproxTop`]).
 //!
 //! ## Sharding
 //!
@@ -54,15 +52,12 @@
 
 use crate::approx_top::{ApproxTopProcessor, ApproxTopResult};
 use crate::ingest::IngestLanes;
-use crate::median::combine;
 use crate::params::SketchParams;
 use crate::sketch::CountSketch;
 use cs_hash::{shard_of, ItemKey};
 use cs_stream::turnstile::Update;
 use cs_stream::{Stream, TurnstileStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Keys buffered per shard before a job is sent to the worker. Always a
@@ -427,173 +422,6 @@ pub fn parallel_approx_top(
     top.finish()
 }
 
-/// A lock-free shared Count-Sketch handle.
-///
-/// The hot path is a relaxed [`AtomicI64::fetch_add`] per row — no
-/// mutexes, no CAS loops — guarded by the same headroom-watermark idea
-/// as the scalar two-tier path ([`CountSketch::update`]): a global
-/// `Σ|w|` reservation counter proves, before any cell is touched, that
-/// the additions cannot wrap. Once the watermark is exhausted, updates
-/// divert to a lazily allocated mutex-guarded **overflow sketch** whose
-/// `i128` clamp-and-flag mirrors the scalar slow tier; the atomic cells
-/// themselves are then never written past the proof, so they can never
-/// silently wrap even while other threads are mid-`fetch_add`.
-///
-/// [`AtomicCountSketch::snapshot`] folds the overflow tier back in with
-/// [`CountSketch::merge_saturating`] and restores the mass-floor
-/// invariant, so a snapshot's [`CountSketch::health`] faithfully reports
-/// any clamping — unlike the legacy striped
-/// [`crate::concurrent::SharedCountSketch`] this type replaces on the
-/// hot path.
-///
-/// Concurrent-read caveat (same as the striped variant): `estimate` and
-/// `snapshot` taken *during* concurrent writes are not an atomic cut
-/// across cells; quiescent snapshots are exact.
-#[derive(Debug, Clone)]
-pub struct AtomicCountSketch {
-    inner: Arc<AtomicInner>,
-}
-
-#[derive(Debug)]
-struct AtomicInner {
-    /// Read-only template holding the hash functions (never updated).
-    template: CountSketch,
-    /// Row-major counter cells, same layout as the scalar sketch.
-    cells: Vec<AtomicI64>,
-    /// Total `Σ|w|` reserved by fast-path updates — the headroom
-    /// watermark. A fast-path update first reserves its mass here and
-    /// proceeds only if the running total still fits `i64`, which proves
-    /// no cell can wrap.
-    mass_reserved: AtomicU64,
-    /// Whether any update has been diverted to the overflow tier.
-    overflowed: AtomicBool,
-    /// The slow tier: a scalar two-tier sketch absorbing every update
-    /// the watermark refused. Lazily allocated — the common all-fast
-    /// case never pays for it.
-    overflow: Mutex<Option<Box<CountSketch>>>,
-}
-
-impl AtomicCountSketch {
-    /// Creates an empty atomic sketch.
-    pub fn new(params: SketchParams, seed: u64) -> Self {
-        let template = CountSketch::new(params, seed);
-        let cells = (0..template.rows() * template.buckets())
-            .map(|_| AtomicI64::new(0))
-            .collect();
-        Self {
-            inner: Arc::new(AtomicInner {
-                template,
-                cells,
-                mass_reserved: AtomicU64::new(0),
-                overflowed: AtomicBool::new(false),
-                overflow: Mutex::new(None),
-            }),
-        }
-    }
-
-    /// Adds one occurrence (lock-free unless the watermark is exhausted).
-    pub fn add(&self, key: ItemKey) {
-        self.update(key, 1);
-    }
-
-    /// Turnstile update (lock-free unless the watermark is exhausted).
-    pub fn update(&self, key: ItemKey, weight: i64) {
-        let inner = &*self.inner;
-        let amount = weight.unsigned_abs();
-        // Reserve this update's mass. `fetch_update` serializes the
-        // reservations, so at most `i64::MAX` total absolute mass is ever
-        // granted to the fast path — the per-cell no-wrap proof.
-        let prev = inner
-            .mass_reserved
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |m| {
-                Some(m.saturating_add(amount))
-            })
-            .expect("reservation closure is total");
-        if prev.saturating_add(amount) <= i64::MAX as u64 {
-            // Fast tier: |weight| ≤ i64::MAX here, so `sign * weight` is
-            // exact, and the granted-mass bound keeps every cell's
-            // partial sum inside i64 regardless of thread interleaving.
-            let buckets = inner.template.buckets();
-            for (i, (bucket, sign)) in inner.template.row_cells(key).enumerate() {
-                inner.cells[i * buckets + bucket].fetch_add(sign * weight, Ordering::Relaxed);
-            }
-        } else {
-            // Slow tier: never touch the atomic cells past the proof —
-            // divert to the scalar overflow sketch, whose own two-tier
-            // path clamps and flags exactly.
-            let mut guard = inner.overflow.lock().expect("overflow lock poisoned");
-            guard
-                .get_or_insert_with(|| Box::new(inner.template.clone()))
-                .update(key, weight);
-            inner.overflowed.store(true, Ordering::Release);
-        }
-    }
-
-    /// Estimates a count: the combiner over per-row probes of the atomic
-    /// cells (plus the overflow tier when present).
-    pub fn estimate(&self, key: ItemKey) -> i64 {
-        let inner = &*self.inner;
-        let guard = if inner.overflowed.load(Ordering::Acquire) {
-            Some(inner.overflow.lock().expect("overflow lock poisoned"))
-        } else {
-            None
-        };
-        let side = guard.as_ref().and_then(|g| g.as_deref());
-        let buckets = inner.template.buckets();
-        let mut rows = Vec::with_capacity(inner.template.rows());
-        for (i, (bucket, sign)) in inner.template.row_cells(key).enumerate() {
-            let idx = i * buckets + bucket;
-            let mut c = inner.cells[idx].load(Ordering::Relaxed);
-            if let Some(side) = side {
-                c = c.saturating_add(side.counters()[idx]);
-            }
-            rows.push(sign.saturating_mul(c));
-        }
-        let mut scratch = Vec::with_capacity(rows.len());
-        combine(inner.template.combiner(), &rows, &mut scratch)
-    }
-
-    /// Freezes into a plain sketch: copies the atomic cells, restores
-    /// the mass-floor invariant, and folds in the overflow tier
-    /// (clamping and flagging any cell the combined mass pushes past the
-    /// `i64` limits, so [`CountSketch::health`] reflects the truth).
-    pub fn snapshot(&self) -> CountSketch {
-        let inner = &*self.inner;
-        let mut s = inner.template.clone();
-        for (dst, cell) in s.counters_mut().iter_mut().zip(&inner.cells) {
-            *dst = cell.load(Ordering::Relaxed);
-        }
-        // Counters were filled behind the sketch's back: re-establish
-        // `|counter| ≤ abs_mass` before the merge below relies on it.
-        s.refresh_mass_floor();
-        if inner.overflowed.load(Ordering::Acquire) {
-            let guard = inner.overflow.lock().expect("overflow lock poisoned");
-            if let Some(side) = guard.as_deref() {
-                s.merge_saturating(side)
-                    .expect("overflow sketch shares params and seed");
-            }
-        }
-        s
-    }
-
-    /// Heap bytes of the atomic cells plus the template (and overflow
-    /// tier when allocated).
-    pub fn space_bytes(&self) -> usize {
-        let inner = &*self.inner;
-        let mut bytes =
-            inner.template.space_bytes() + inner.cells.len() * std::mem::size_of::<AtomicI64>();
-        if let Some(side) = inner
-            .overflow
-            .lock()
-            .expect("overflow lock poisoned")
-            .as_deref()
-        {
-            bytes += side.space_bytes();
-        }
-        bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -787,119 +615,5 @@ mod tests {
         let one = parallel_approx_top(&stream, 5, params, 2, 1);
         let four = parallel_approx_top(&stream, 5, params, 2, 4);
         assert!(four.space_bytes > 3 * one.space_bytes);
-    }
-
-    #[test]
-    fn atomic_matches_plain_sequential() {
-        let stream = zipf_stream(10_000, 7);
-        let params = SketchParams::new(5, 128);
-        let atomic = AtomicCountSketch::new(params, 3);
-        for key in stream.iter() {
-            atomic.add(key);
-        }
-        let mut plain = CountSketch::new(params, 3);
-        plain.absorb(&stream, 1);
-        assert_sketch_identical(&atomic.snapshot(), &plain, "atomic sequential");
-        for id in 0..100u64 {
-            assert_eq!(atomic.estimate(ItemKey(id)), plain.estimate(ItemKey(id)));
-        }
-    }
-
-    #[test]
-    fn atomic_concurrent_adds_match_plain() {
-        let params = SketchParams::new(5, 128);
-        let atomic = AtomicCountSketch::new(params, 11);
-        let stream = zipf_stream(20_000, 2);
-        let chunks = stream.chunks(4);
-        std::thread::scope(|scope| {
-            for chunk in &chunks {
-                let handle = atomic.clone();
-                scope.spawn(move || {
-                    for key in chunk.iter() {
-                        handle.add(key);
-                    }
-                });
-            }
-        });
-        let mut plain = CountSketch::new(params, 11);
-        plain.absorb(&stream, 1);
-        assert_sketch_identical(&atomic.snapshot(), &plain, "atomic concurrent");
-    }
-
-    #[test]
-    fn atomic_overflow_diverts_and_flags() {
-        let params = SketchParams::new(3, 32);
-        let atomic = AtomicCountSketch::new(params, 1);
-        let key = ItemKey(5);
-        atomic.update(key, i64::MAX);
-        atomic.update(key, i64::MAX); // exhausts the watermark → slow tier
-        atomic.update(ItemKey(6), 100); // also slow tier now
-        let snap = atomic.snapshot();
-        #[cfg(feature = "saturation-tracking")]
-        assert!(
-            snap.health().saturated_cells > 0,
-            "clamped atomic sketch must not report healthy"
-        );
-        // Sequential reference: identical clamp-and-flag states.
-        let mut plain = CountSketch::new(params, 1);
-        plain.update(key, i64::MAX);
-        plain.update(key, i64::MAX);
-        plain.update(ItemKey(6), 100);
-        assert_sketch_identical(&snap, &plain, "atomic overflow");
-    }
-
-    #[test]
-    #[cfg(feature = "saturation-tracking")]
-    fn atomic_unflagged_cells_are_exact() {
-        // Even past the watermark, any cell that never clamps must hold
-        // the exact signed sum — checked against an i128 oracle.
-        let params = SketchParams::new(3, 16);
-        let atomic = AtomicCountSketch::new(params, 4);
-        let updates: Vec<(ItemKey, i64)> = vec![
-            (ItemKey(1), i64::MAX),
-            (ItemKey(2), -500),
-            (ItemKey(1), -i64::MAX),
-            (ItemKey(3), 123_456),
-            (ItemKey(2), 500),
-            (ItemKey(1), 42),
-        ];
-        let template = CountSketch::new(params, 4);
-        let mut oracle = vec![0i128; template.rows() * template.buckets()];
-        for &(key, w) in &updates {
-            atomic.update(key, w);
-            for (i, (bucket, sign)) in template.row_cells(key).enumerate() {
-                oracle[i * template.buckets() + bucket] += i128::from(sign) * i128::from(w);
-            }
-        }
-        let snap = atomic.snapshot();
-        for row in 0..snap.rows() {
-            for bucket in 0..snap.buckets() {
-                if !snap.is_cell_saturated(row, bucket) {
-                    let idx = row * snap.buckets() + bucket;
-                    assert_eq!(
-                        i128::from(snap.counters()[idx]),
-                        oracle[idx],
-                        "unflagged cell ({row}, {bucket}) is not exact"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn atomic_snapshot_restores_mass_floor() {
-        // After a snapshot, further batched updates on the snapshot must
-        // stay overflow-safe: the watermark invariant |c| ≤ abs_mass is
-        // re-established by refresh_mass_floor.
-        let params = SketchParams::new(3, 16);
-        let atomic = AtomicCountSketch::new(params, 9);
-        for id in 0..1000u64 {
-            atomic.update(ItemKey(id), 1_000_000);
-        }
-        let mut snap = atomic.snapshot();
-        // A fast-tier update after restore must not wrap anything.
-        snap.update(ItemKey(1), i64::MAX / 2);
-        let checked = snap.estimate_checked(ItemKey(1));
-        assert!(checked.clean_rows > 0);
     }
 }

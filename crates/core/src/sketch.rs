@@ -336,8 +336,8 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     }
 
     /// Restores the `abs_mass` invariant (`|counter| ≤ abs_mass` for all
-    /// cells) after counters were overwritten wholesale — snapshot
-    /// restore, concurrent snapshot assembly. The tight bound
+    /// cells) after counters were overwritten wholesale by the snapshot
+    /// codec on restore. The tight bound
     /// `max |counter|` is the most headroom the invariant allows us to
     /// reclaim without replaying the stream.
     pub(crate) fn refresh_mass_floor(&mut self) {
@@ -594,8 +594,8 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         &self.counters
     }
 
-    /// Mutable counter array — crate-internal, used by the concurrent
-    /// wrapper's snapshot and the snapshot codec.
+    /// Mutable counter array — crate-internal, restored by the snapshot
+    /// codec.
     pub(crate) fn counters_mut(&mut self) -> &mut [i64] {
         &mut self.counters
     }

@@ -785,6 +785,24 @@ mod tests {
     }
 
     #[test]
+    fn restored_sketch_keeps_overflow_safety() {
+        // Restore fills counters wholesale; updates past the `i64` limit
+        // afterwards must clamp exactly like on the original sketch, not
+        // take the fast tier on a stale watermark and wrap.
+        let mut original = CountSketch::new(PARAMS, 9);
+        for id in 0..1000u64 {
+            original.update(ItemKey(id), 1 << 52);
+        }
+        let mut restored = CountSketch::from_snapshot_bytes(&original.to_snapshot_bytes()).unwrap();
+        for s in [&mut original, &mut restored] {
+            s.update(ItemKey(1), i64::MAX);
+            s.update_batch_weighted(&[ItemKey(2), ItemKey(3)], i64::MAX / 2);
+        }
+        assert_eq!(restored.counters(), original.counters());
+        assert_eq!(restored.health(), original.health());
+    }
+
+    #[test]
     fn sketch_roundtrip_is_bit_identical() {
         let zipf = Zipf::new(200, 1.0);
         let s = sketched(&zipf.stream(10_000, 3, ZipfStreamKind::Sampled));

@@ -72,27 +72,14 @@ impl Stream {
         self.items.extend_from_slice(&other.items);
     }
 
-    /// Splits the stream into `parts` nearly equal contiguous chunks
-    /// (used by the concurrent sketch tests: sketch additivity means
-    /// sketching chunks and merging equals sketching the whole stream).
-    pub fn chunks(&self, parts: usize) -> Vec<Stream> {
-        assert!(parts > 0);
-        let chunk = self.items.len().div_ceil(parts).max(1);
-        self.items
-            .chunks(chunk)
-            .map(|c| Stream { items: c.to_vec() })
-            .collect()
-    }
-
     /// Splits the stream into `parts` shards by key hash
     /// (`cs_hash::shard_of`): every occurrence of a key lands in the same
     /// shard, in stream order. This is the partition the parallel
     /// ingestion pool uses — shards have disjoint key sets, so per-shard
     /// top-k candidate sets never overlap, while sketch additivity makes
-    /// the merged shard sketches equal the whole-stream sketch.
-    ///
-    /// Unlike [`Stream::chunks`], shard sizes depend on the key
-    /// distribution (a single hot key keeps all its mass in one shard).
+    /// the merged shard sketches equal the whole-stream sketch. Shard
+    /// sizes depend on the key distribution (a single hot key keeps all
+    /// its mass in one shard).
     pub fn shards(&self, parts: usize) -> Vec<Stream> {
         assert!(parts > 0);
         let mut shards = vec![Stream::new(); parts];
@@ -160,27 +147,6 @@ mod tests {
         let other = Stream::from_ids([3, 4]);
         s.extend_from(&other);
         assert_eq!(s, Stream::from_ids([1, 2, 3, 4]));
-    }
-
-    #[test]
-    fn chunks_cover_whole_stream_in_order() {
-        let s = Stream::from_ids(0..10);
-        for parts in 1..=12 {
-            let chunks = s.chunks(parts);
-            assert!(chunks.len() <= parts.max(1));
-            let mut recombined = Stream::new();
-            for c in &chunks {
-                recombined.extend_from(c);
-            }
-            assert_eq!(recombined, s, "parts = {parts}");
-        }
-    }
-
-    #[test]
-    fn chunks_of_empty_stream() {
-        let s = Stream::new();
-        let chunks = s.chunks(4);
-        assert!(chunks.is_empty() || chunks.iter().all(|c| c.is_empty()));
     }
 
     #[test]

@@ -57,9 +57,9 @@ pub enum CliError {
         message: String,
     },
     /// A file was read fine but its contents are invalid — a torn or
-    /// bit-flipped snapshot, typically (exit code 4).
+    /// bit-flipped snapshot, or input that is not UTF-8 (exit code 4).
     Corrupt {
-        /// The offending file.
+        /// The offending file, or `-` for stdin.
         path: String,
         /// The typed decode error.
         message: String,
@@ -395,11 +395,20 @@ fn label(labels: &HashMap<ItemKey, String>, key: ItemKey) -> &str {
     labels.get(&key).map(String::as_str).unwrap_or("<?>")
 }
 
+/// Classifies an input read failure: bytes that are not UTF-8 read fine
+/// but are invalid (`Corrupt`, never worth a retry); anything else is
+/// the OS refusing the read (`Io`).
+fn read_error(path: &str, e: std::io::Error) -> CliError {
+    let (path, message) = (path.into(), e.to_string());
+    if e.kind() == std::io::ErrorKind::InvalidData {
+        CliError::Corrupt { path, message }
+    } else {
+        CliError::Io { path, message }
+    }
+}
+
 fn read_file(path: &str) -> Result<String, CliError> {
-    std::fs::read_to_string(path).map_err(|e| CliError::Io {
-        path: path.into(),
-        message: e.to_string(),
-    })
+    std::fs::read_to_string(path).map_err(|e| read_error(path, e))
 }
 
 fn read_stdin() -> Result<String, CliError> {
@@ -407,10 +416,7 @@ fn read_stdin() -> Result<String, CliError> {
     let mut buf = String::new();
     std::io::stdin()
         .read_to_string(&mut buf)
-        .map_err(|e| CliError::Io {
-            path: "-".into(),
-            message: e.to_string(),
-        })?;
+        .map_err(|e| read_error("-", e))?;
     Ok(buf)
 }
 
@@ -1409,6 +1415,25 @@ mod tests {
             other => panic!("expected Io error, got {other:?}"),
         }
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn non_utf8_input_is_corrupt_not_io() {
+        let dir = std::env::temp_dir().join(format!("fi-cli-utf8-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad.txt");
+        std::fs::write(&path, b"\xff\xfe").unwrap();
+        let opts = Options {
+            command: "top".into(),
+            files: vec![path.to_string_lossy().into_owned()],
+            ..Default::default()
+        };
+        // Exit 4, not 3: the file read fine, and a retry cannot fix it.
+        match run(&opts) {
+            Err(e @ CliError::Corrupt { .. }) => assert_eq!(e.exit_code(), EXIT_CORRUPT),
+            other => panic!("expected Corrupt error, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

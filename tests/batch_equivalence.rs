@@ -3,7 +3,6 @@
 //! sketching, the APPROXTOP processor, and mid-batch snapshots.
 
 use frequent_items::prelude::*;
-use frequent_items::sketch::concurrent::sketch_stream_parallel;
 use proptest::prelude::*;
 
 fn zipf_stream(n: usize, seed: u64) -> Stream {
@@ -33,13 +32,13 @@ fn absorb_is_bit_identical_to_scalar_updates() {
 
 #[test]
 fn parallel_batched_workers_equal_sequential_scalar() {
-    // sketch_stream_parallel's workers absorb through the block engine;
+    // sketch_stream_pooled's workers absorb through the block engine;
     // the merged result must still match a scalar one-thread pass.
     let stream = zipf_stream(30_000, 5);
     let params = SketchParams::new(5, 512);
     let want = scalar_sketch(&stream, params, 13);
     for threads in [1usize, 2, 4, 7] {
-        let got = sketch_stream_parallel(&stream, params, 13, threads);
+        let got = sketch_stream_pooled(&stream, params, 13, threads);
         assert_eq!(want.counters(), got.counters(), "threads = {threads}");
     }
 }

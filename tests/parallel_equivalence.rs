@@ -1,4 +1,4 @@
-//! Property tests of the parallel ingestion pipeline: pool, atomic and
+//! Property tests of the parallel ingestion pipeline: pool and
 //! sequential ingestion must agree on counters, saturation flags and
 //! top-k output — including under adversarial weights at the `i64`
 //! limits and across mid-stream snapshot/restore.
@@ -82,9 +82,8 @@ proptest! {
         }
     }
 
-    /// Adversarial weights (up to ±i64::MAX): every path — pool at
-    /// several worker counts, the atomic shared handle, and sequential —
-    /// must keep all unflagged cells exactly equal to the i128 oracle
+    /// Adversarial weights (up to ±i64::MAX): both paths — pool at
+    /// several worker counts, and sequential — must keep all unflagged cells exactly equal to the i128 oracle
     /// (no silent wraparound, ever), and each path must be reproducible.
     #[test]
     fn prop_unflagged_cells_are_exact_under_adversarial_weights(
@@ -145,12 +144,6 @@ proptest! {
             }
             assert_identical(&again.finish(), &merged, "pool rerun");
         }
-
-        let atomic = AtomicCountSketch::new(params, seed);
-        for &(key, w) in &updates {
-            atomic.update(key, w);
-        }
-        check(&atomic.snapshot(), "atomic");
     }
 
     /// Mid-stream snapshot/restore commutes with pooled ingestion: pool
@@ -240,26 +233,4 @@ fn pool_single_key_saturation_matches_sequential_at_any_worker_count() {
             &format!("saturating key, workers = {workers}"),
         );
     }
-}
-
-#[test]
-fn atomic_concurrent_ingestion_matches_sequential() {
-    let params = SketchParams::new(5, 128);
-    let zipf = Zipf::new(200, 1.1);
-    let stream = zipf.stream(30_000, 3, ZipfStreamKind::Sampled);
-    let atomic = AtomicCountSketch::new(params, 17);
-    let chunks = stream.chunks(4);
-    std::thread::scope(|scope| {
-        for chunk in &chunks {
-            let handle = atomic.clone();
-            scope.spawn(move || {
-                for key in chunk.iter() {
-                    handle.add(key);
-                }
-            });
-        }
-    });
-    let mut sequential = CountSketch::new(params, 17);
-    sequential.absorb(&stream, 1);
-    assert_identical(&atomic.snapshot(), &sequential, "atomic 4-thread ingest");
 }
