@@ -43,21 +43,11 @@ pub trait StreamSummary {
     /// Current memory footprint in bytes.
     fn space_bytes(&self) -> usize;
 
-    /// Consumes a block of occurrences. The default forwards to
-    /// [`StreamSummary::process`] per key; implementations with a
-    /// cheaper bulk path (e.g. the Count-Sketch's block ingestion
-    /// engine) override this, and the throughput harness feeds every
-    /// algorithm through it so such paths are exercised end-to-end.
-    fn process_batch(&mut self, keys: &[ItemKey]) {
-        for &key in keys {
+    /// Convenience: consumes a whole stream, one occurrence at a time.
+    fn process_stream(&mut self, stream: &Stream) {
+        for key in stream.iter() {
             self.process(key);
         }
-    }
-
-    /// Convenience: consumes a whole stream via
-    /// [`StreamSummary::process_batch`].
-    fn process_stream(&mut self, stream: &Stream) {
-        self.process_batch(stream.as_slice());
     }
 
     /// Convenience: the top `k` candidates' keys.
@@ -108,18 +98,6 @@ mod tests {
         assert_eq!(e.estimate(ItemKey(1)), Some(2));
         assert_eq!(e.estimate(ItemKey(2)), Some(1));
         assert_eq!(e.estimate(ItemKey(3)), None);
-    }
-
-    #[test]
-    fn process_batch_equals_per_item() {
-        let keys: Vec<ItemKey> = [5u64, 5, 7, 5, 9, 7].into_iter().map(ItemKey).collect();
-        let mut a = Exact(Default::default());
-        let mut b = Exact(Default::default());
-        for &k in &keys {
-            a.process(k);
-        }
-        b.process_batch(&keys);
-        assert_eq!(a.candidates(), b.candidates());
     }
 
     #[test]

@@ -164,20 +164,7 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
     push("count-sketch (fast hashes)", upd, q);
 
     // Full APPROXTOP loop (sketch + heap maintenance; no point queries):
-    // the block-amortized path and the paper-verbatim per-item rule.
-    let (upd, _) = measure(
-        trials,
-        &stream,
-        &probes,
-        |st| {
-            let mut p = ApproxTopProcessor::new(params, scale.k, 1);
-            p.observe_batch(st.as_slice());
-            p
-        },
-        None::<&dyn Fn(&ApproxTopProcessor, ItemKey) -> u64>,
-    );
-    push("count-sketch + heap", upd, f64::NAN);
-
+    // the paper-verbatim per-item rule.
     let (upd, _) = measure(
         trials,
         &stream,
@@ -191,8 +178,7 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
     );
     push("count-sketch + heap (per-item)", upd, f64::NAN);
 
-    // Baselines through the trait (process_stream now feeds the batch
-    // path, which defaults to the per-item loop for all of these).
+    // Baselines through the trait's per-item `process_stream`.
     type Factory = Box<dyn Fn() -> Box<dyn StreamSummary>>;
     let baselines: Vec<(&str, Factory)> = vec![
         (

@@ -36,7 +36,6 @@
 
 use crate::sketch::GenericCountSketch;
 use cs_hash::{BucketHasher, ItemKey, SignHasher};
-use cs_stream::Stream;
 
 /// Keys hashed per block. 32 keeps the bucket and sign lanes for a
 /// 16-row sketch in 8 KiB of stack — comfortably inside L1 — while
@@ -51,35 +50,6 @@ pub const BLOCK: usize = 32;
 /// ([`crate::sketch::EstimateBatchScratch`]).
 pub(crate) const LANE_ROWS: usize = 16;
 
-/// Reusable stack lanes for the block engine — row-major: lane
-/// `i*BLOCK + j` holds row i's cell for the j-th key of the current
-/// block. Zeroing these costs ~8 KiB of stores, which matters to
-/// callers that feed the engine one block at a time (the heap
-/// processors do, to keep estimates block-fresh): the same
-/// create-once-reuse-per-block pattern as
-/// [`crate::sketch::EstimateScratch`].
-#[derive(Debug, Clone)]
-pub struct IngestLanes {
-    buckets: [usize; BLOCK * LANE_ROWS],
-    signs: [i64; BLOCK * LANE_ROWS],
-}
-
-impl IngestLanes {
-    /// Fresh (zeroed) lanes.
-    pub fn new() -> Self {
-        Self {
-            buckets: [0; BLOCK * LANE_ROWS],
-            signs: [0; BLOCK * LANE_ROWS],
-        }
-    }
-}
-
-impl Default for IngestLanes {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// Adds one occurrence of every key in `keys`, equivalent to (and
     /// bit-identical with) calling [`Self::add`] per key in order.
@@ -91,20 +61,10 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// (and bit-identical with) calling [`Self::update`] per key in
     /// order — same counters, same saturation flags.
     pub fn update_batch_weighted(&mut self, keys: &[ItemKey], weight: i64) {
-        let mut lanes = IngestLanes::new();
-        self.update_batch_weighted_with_lanes(keys, weight, &mut lanes);
-    }
-
-    /// [`Self::update_batch_weighted`] with caller-owned lanes, for
-    /// block-at-a-time callers that would otherwise re-zero the lanes on
-    /// every call.
-    pub fn update_batch_weighted_with_lanes(
-        &mut self,
-        keys: &[ItemKey],
-        weight: i64,
-        lanes: &mut IngestLanes,
-    ) {
-        let IngestLanes { buckets, signs } = lanes;
+        // Row-major stack lanes: lane `i*BLOCK + j` holds row i's cell for
+        // the j-th key of the current block.
+        let mut buckets = [0usize; BLOCK * LANE_ROWS];
+        let mut signs = [0i64; BLOCK * LANE_ROWS];
         let lanes_fit = self.rows <= LANE_ROWS;
         for chunk in keys.chunks(BLOCK) {
             let n = chunk.len();
@@ -153,12 +113,6 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
             }
         }
     }
-
-    /// Batch counterpart of [`Self::absorb`] with unit weight: sketches
-    /// the whole stream through the block engine.
-    pub fn absorb_batch(&mut self, stream: &Stream) {
-        self.update_batch(stream.as_slice());
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +144,7 @@ mod tests {
             seq.update(key, 1);
         }
         let mut bat = sketch();
-        bat.absorb_batch(&stream);
+        bat.absorb(&stream, 1);
         assert_identical(&seq, &bat);
     }
 

@@ -25,8 +25,7 @@
 //! benchmarks: mean and trimmed-mean row combiners ([`median`]), a fast
 //! multiply-shift/tabulation hasher configuration
 //! ([`sketch::FastCountSketch`]), and parallel sketching via additivity
-//! — a long-lived sharded worker pool and a deterministic parallel
-//! APPROXTOP ([`parallel`]).
+//! — a long-lived sharded worker pool ([`parallel`]).
 //!
 //! ## Quick example
 //!
@@ -79,9 +78,7 @@ pub mod prelude {
     pub use crate::hierarchical::{HeavyItem, HierarchicalCountSketch};
     pub use crate::iceberg::{iceberg, IcebergProcessor, IcebergResult};
     pub use crate::maxchange::{max_change, MaxChangeResult};
-    pub use crate::parallel::{
-        parallel_approx_top, sketch_stream_pooled, ParallelApproxTop, SketchPool,
-    };
+    pub use crate::parallel::{sketch_stream_pooled, SketchPool};
     pub use crate::params::SketchParams;
     pub use crate::relchange::{max_relative_change, ChangeObjective, RelChangeSketch};
     pub use crate::sketch::{

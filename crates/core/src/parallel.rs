@@ -1,25 +1,20 @@
-//! Multi-core sharded ingestion: a worker pool and a deterministic
-//! parallel APPROXTOP.
+//! Multi-core sharded ingestion: a worker pool.
 //!
 //! §3.2's additivity (sketches built with the same hash functions merge
 //! by counter addition) is a parallelization license: partition the
 //! stream, sketch the shards independently with the same `(params,
 //! seed)`, and add. This module turns that license into a long-lived
-//! pipeline — [`SketchPool`], the one parallel write path — plus a
-//! sharded top-k pipeline ([`ParallelApproxTop`]).
+//! pipeline — [`SketchPool`], the one parallel write path. Top-k
+//! tracking stays out of the pool: `fi top --threads N` re-estimates its
+//! candidates against the merged sketch.
 //!
 //! ## Sharding
 //!
 //! Streams are partitioned **by key hash** ([`cs_hash::shard_of`]), not
 //! by position: every occurrence of a key lands on one worker, in stream
-//! order. Two consequences:
-//!
-//! * per-worker top-k candidate sets are disjoint, so the parallel
-//!   APPROXTOP merge never has to reconcile two partial counts of the
-//!   same item, and
-//! * each worker's sketch sees a key's updates as a contiguous
-//!   subsequence, so per-key sequential semantics (e.g. single-key
-//!   saturation) are preserved exactly.
+//! order, so each worker's sketch sees a key's updates as a contiguous
+//! subsequence and per-key sequential semantics (e.g. single-key
+//! saturation) are preserved exactly.
 //!
 //! ## Determinism contract
 //!
@@ -44,14 +39,7 @@
 //!    updates (no silent wraparound, same invariant as the scalar
 //!    two-tier path), and that the result is a pure function of
 //!    `(stream, params, seed, worker count)` — reruns are reproducible.
-//!
-//! [`ParallelApproxTop`] resolves the candidate union against the merged
-//! sketch, so its reported estimates are thread-count-invariant whenever
-//! the candidate sets agree (w.h.p. under the paper's Lemma 5
-//! dimensioning; exact determinism per fixed worker count always).
 
-use crate::approx_top::{ApproxTopProcessor, ApproxTopResult};
-use crate::ingest::IngestLanes;
 use crate::params::SketchParams;
 use crate::sketch::CountSketch;
 use cs_hash::{shard_of, ItemKey};
@@ -126,11 +114,10 @@ impl SketchPool {
                 .name(format!("cs-pool-{w}"))
                 .spawn(move || {
                     let mut sketch = CountSketch::new(params, seed);
-                    let mut lanes = IngestLanes::new();
                     while let Ok(job) = rx.recv() {
                         match job {
                             Job::Weighted(keys, weight) => {
-                                sketch.update_batch_weighted_with_lanes(&keys, weight, &mut lanes);
+                                sketch.update_batch_weighted(&keys, weight);
                             }
                             Job::Turnstile(updates) => {
                                 for u in &updates {
@@ -267,159 +254,6 @@ pub fn sketch_stream_pooled(
     let mut pool = SketchPool::new(params, seed, workers);
     pool.ingest_stream(stream);
     pool.finish()
-}
-
-/// A sharded APPROXTOP pipeline: each worker runs a private
-/// [`ApproxTopProcessor`] (sketch + k-slot heap) over its key-hash
-/// shard; [`ParallelApproxTop::finish`] merges the sketches, unions the
-/// per-shard candidates (disjoint by construction), and resolves the
-/// union by re-estimating every candidate against the merged sketch.
-///
-/// The reported list is the top `k` candidates by merged-sketch
-/// estimate (ties broken toward smaller keys), so for a fixed worker
-/// count the result is a pure function of `(stream, params, k, seed)`.
-/// With one worker this *is* the sequential reference: the same sketch,
-/// the same candidate set, the same resolution. Across worker counts the
-/// candidate unions may differ, but whenever each true top-k item is
-/// tracked by its shard (the Lemma 5 regime) the resolved list is
-/// identical at every worker count — which the tests assert on planted
-/// heavy-hitter streams.
-pub struct ParallelApproxTop {
-    senders: Vec<SyncSender<Vec<ItemKey>>>,
-    handles: Vec<JoinHandle<ApproxTopProcessor>>,
-    pending: Vec<Vec<ItemKey>>,
-    k: usize,
-}
-
-impl ParallelApproxTop {
-    /// Spawns `workers` APPROXTOP workers, each with a private
-    /// `ApproxTopProcessor::new(params, k, seed)`.
-    ///
-    /// # Panics
-    /// Panics if `workers == 0` (or `k == 0`, via the tracker).
-    pub fn new(params: SketchParams, k: usize, seed: u64, workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, rx): (SyncSender<Vec<ItemKey>>, Receiver<Vec<ItemKey>>) =
-                sync_channel(CHANNEL_DEPTH);
-            let handle = std::thread::Builder::new()
-                .name(format!("cs-top-{w}"))
-                .spawn(move || {
-                    let mut proc = ApproxTopProcessor::new(params, k, seed);
-                    while let Ok(keys) = rx.recv() {
-                        proc.observe_batch(&keys);
-                    }
-                    proc
-                })
-                .expect("failed to spawn approx-top worker");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        Self {
-            senders,
-            handles,
-            pending: vec![Vec::new(); workers],
-            k,
-        }
-    }
-
-    /// The number of workers (= shards).
-    pub fn workers(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Routes occurrences to their shard workers. Deliveries happen at
-    /// fixed `FLUSH_LEN` boundaries, so worker state never depends on
-    /// how callers slice their `ingest` calls.
-    pub fn ingest(&mut self, keys: &[ItemKey]) {
-        for &key in keys {
-            let shard = shard_of(key, self.workers());
-            self.pending[shard].push(key);
-            if self.pending[shard].len() == FLUSH_LEN {
-                let batch = std::mem::take(&mut self.pending[shard]);
-                self.senders[shard]
-                    .send(batch)
-                    .expect("approx-top worker hung up");
-            }
-        }
-    }
-
-    /// Routes a whole stream.
-    pub fn ingest_stream(&mut self, stream: &Stream) {
-        self.ingest(stream.as_slice());
-    }
-
-    /// Finishes the run and also returns the merged sketch (the CLI uses
-    /// it for snapshots; tests use it to check bit-identity with the
-    /// sequential sketch).
-    pub fn finish_with_sketch(mut self) -> (ApproxTopResult, CountSketch) {
-        for shard in 0..self.workers() {
-            if !self.pending[shard].is_empty() {
-                let batch = std::mem::take(&mut self.pending[shard]);
-                self.senders[shard]
-                    .send(batch)
-                    .expect("approx-top worker hung up");
-            }
-        }
-        drop(std::mem::take(&mut self.senders));
-        let parts: Vec<_> = self
-            .handles
-            .drain(..)
-            .map(|h| h.join().expect("approx-top worker panicked").into_parts())
-            .collect();
-        // True run footprint: every worker's sketch and heap existed at
-        // once, so the space bound is the sum, not the merged size.
-        let space_bytes: usize = parts
-            .iter()
-            .map(|(s, t, _)| s.space_bytes() + t.space_bytes())
-            .sum();
-        let mut parts = parts.into_iter();
-        let (mut merged, tracker, _) = parts.next().expect("at least one worker");
-        let mut candidates: Vec<ItemKey> =
-            tracker.items_desc().into_iter().map(|(k, _)| k).collect();
-        for (sketch, tracker, _) in parts {
-            if merged.merge(&sketch).is_err() {
-                merged
-                    .merge_saturating(&sketch)
-                    .expect("worker sketches share params and seed");
-            }
-            candidates.extend(tracker.items_desc().into_iter().map(|(k, _)| k));
-        }
-        // Shards are key-disjoint, but dedup defensively and sort so the
-        // resolution order is canonical.
-        candidates.sort_unstable();
-        candidates.dedup();
-        // Re-estimate the whole candidate union through the batched
-        // read kernel — one row-major sweep instead of per-key strides.
-        let estimates = merged.estimate_batch(&candidates);
-        let mut items: Vec<(ItemKey, i64)> = candidates.into_iter().zip(estimates).collect();
-        items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        items.truncate(self.k);
-        (
-            ApproxTopResult { items, space_bytes },
-            merged,
-        )
-    }
-
-    /// Finishes the run: merge, union, re-estimate, report top `k`.
-    pub fn finish(self) -> ApproxTopResult {
-        self.finish_with_sketch().0
-    }
-}
-
-/// One-shot parallel APPROXTOP over a stream.
-pub fn parallel_approx_top(
-    stream: &Stream,
-    k: usize,
-    params: SketchParams,
-    seed: u64,
-    workers: usize,
-) -> ApproxTopResult {
-    let mut top = ParallelApproxTop::new(params, k, seed, workers);
-    top.ingest_stream(stream);
-    top.finish()
 }
 
 #[cfg(test)]
@@ -575,45 +409,5 @@ mod tests {
     #[should_panic(expected = "need at least one worker")]
     fn pool_zero_workers_rejected() {
         SketchPool::new(SketchParams::new(1, 1), 0, 0);
-    }
-
-    #[test]
-    fn parallel_approx_top_deterministic_across_worker_counts() {
-        // Planted heavy hitters, well-separated counts: every shard
-        // tracks its heavies, so the resolved list is identical at every
-        // worker count (and equals the 1-worker sequential reference).
-        let zipf = Zipf::new(1000, 1.2);
-        let stream = zipf.stream(50_000, 5, ZipfStreamKind::DeterministicRounded);
-        let params = SketchParams::new(7, 1024);
-        let reference = parallel_approx_top(&stream, 10, params, 42, 1);
-        assert_eq!(reference.items.len(), 10);
-        assert!(reference.keys().contains(&ItemKey(0)));
-        for workers in [2, 4, 8] {
-            let got = parallel_approx_top(&stream, 10, params, 42, workers);
-            assert_eq!(got.items, reference.items, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_approx_top_sketch_matches_sequential() {
-        let stream = zipf_stream(20_000, 17);
-        let params = SketchParams::new(5, 512);
-        let mut sequential = CountSketch::new(params, 11);
-        sequential.absorb(&stream, 1);
-        for workers in [1, 2, 4] {
-            let mut top = ParallelApproxTop::new(params, 8, 11, workers);
-            top.ingest_stream(&stream);
-            let (_, sketch) = top.finish_with_sketch();
-            assert_sketch_identical(&sketch, &sequential, &format!("workers = {workers}"));
-        }
-    }
-
-    #[test]
-    fn parallel_approx_top_space_sums_workers() {
-        let stream = zipf_stream(5_000, 9);
-        let params = SketchParams::new(5, 128);
-        let one = parallel_approx_top(&stream, 5, params, 2, 1);
-        let four = parallel_approx_top(&stream, 5, params, 2, 4);
-        assert!(four.space_bytes > 3 * one.space_bytes);
     }
 }

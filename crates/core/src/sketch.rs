@@ -644,7 +644,8 @@ impl EstimateScratch {
 }
 
 /// Reusable lanes for [`GenericCountSketch::estimate_batch_with_scratch`]
-/// — the read-path sibling of [`crate::ingest::IngestLanes`]. Row-major:
+/// — the read-path sibling of the block engine's stack lanes
+/// ([`crate::ingest`]). Row-major:
 /// lane `i*BLOCK + j` holds row `i`'s sign-tagged bucket (and later its
 /// signed row estimate) for the j-th key of the current block. Create
 /// once and reuse; zeroing ~16 KiB of lanes per call would eat the

@@ -72,23 +72,6 @@ impl Stream {
         self.items.extend_from_slice(&other.items);
     }
 
-    /// Splits the stream into `parts` shards by key hash
-    /// (`cs_hash::shard_of`): every occurrence of a key lands in the same
-    /// shard, in stream order. This is the partition the parallel
-    /// ingestion pool uses — shards have disjoint key sets, so per-shard
-    /// top-k candidate sets never overlap, while sketch additivity makes
-    /// the merged shard sketches equal the whole-stream sketch. Shard
-    /// sizes depend on the key distribution (a single hot key keeps all
-    /// its mass in one shard).
-    pub fn shards(&self, parts: usize) -> Vec<Stream> {
-        assert!(parts > 0);
-        let mut shards = vec![Stream::new(); parts];
-        for &key in &self.items {
-            shards[cs_hash::shard_of(key, parts)].items.push(key);
-        }
-        shards
-    }
-
     /// Bytes of heap memory held by the stream.
     pub fn space_bytes(&self) -> usize {
         self.items.capacity() * std::mem::size_of::<ItemKey>()
@@ -147,52 +130,6 @@ mod tests {
         let other = Stream::from_ids([3, 4]);
         s.extend_from(&other);
         assert_eq!(s, Stream::from_ids([1, 2, 3, 4]));
-    }
-
-    #[test]
-    fn shards_partition_by_key_and_preserve_order() {
-        let s = Stream::from_ids([1, 2, 3, 1, 2, 1, 4, 3, 1]);
-        for parts in 1..=6 {
-            let shards = s.shards(parts);
-            assert_eq!(shards.len(), parts);
-            // Total mass is preserved.
-            assert_eq!(shards.iter().map(Stream::len).sum::<usize>(), s.len());
-            for (i, shard) in shards.iter().enumerate() {
-                for key in shard.iter() {
-                    // Every occurrence of a key is in exactly this shard.
-                    assert_eq!(cs_hash::shard_of(key, parts), i);
-                }
-            }
-            // Per-shard subsequences keep stream order: the positions of
-            // each shard's keys in the original stream are increasing.
-            for shard in &shards {
-                let mut last = 0usize;
-                let mut from = 0usize;
-                for key in shard.iter() {
-                    let pos = s.as_slice()[from..]
-                        .iter()
-                        .position(|&k| k == key)
-                        .expect("shard key must come from the stream")
-                        + from;
-                    assert!(pos >= last);
-                    last = pos;
-                    from = pos + 1;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shards_key_sets_are_disjoint() {
-        let s = Stream::from_ids(0..500);
-        let shards = s.shards(4);
-        let mut seen = std::collections::HashSet::new();
-        for shard in &shards {
-            for key in shard.iter() {
-                assert!(seen.insert(key), "key {key:?} appears in two shards");
-            }
-        }
-        assert_eq!(seen.len(), 500);
     }
 
     #[test]

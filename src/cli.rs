@@ -32,7 +32,9 @@
 //! written by an earlier `--snapshot` run, so a long-lived counting job
 //! survives restarts without rereading history; `--snapshot-every N`
 //! additionally persists the state after every N observed items, so a
-//! crash loses at most N items of progress. Failures map to distinct
+//! crash loses at most N items of progress. The flag only chooses when
+//! to persist: the report and the final snapshot equal those of the run
+//! without it. Failures map to distinct
 //! exit codes (see [`CliError`]): bad invocation, I/O failure, and
 //! corrupt input are distinguishable to calling scripts.
 
@@ -119,7 +121,8 @@ pub struct Options {
     /// Write a state snapshot here after processing (`top` only).
     pub snapshot: Option<String>,
     /// Also write the snapshot after every N observed items (0 = only
-    /// at the end; requires `--snapshot`).
+    /// at the end; requires `--snapshot`). Changes when state is
+    /// persisted, never the report or the final snapshot.
     pub snapshot_every: usize,
     /// Restore state from this snapshot before processing (`top` only).
     pub resume: Option<String>,
@@ -503,9 +506,13 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
                         // atomic tmp-then-rename path as the final write, so
                         // a crash loses at most `every` items of progress.
                         // The tail shorter than a window is covered by the
-                        // unconditional final write below.
+                        // unconditional final write below. Items go through
+                        // the same per-item rule as the run without the flag,
+                        // so the cadence only chooses when to persist.
                         for chunk in stream.as_slice().chunks(every) {
-                            p.observe_batch(chunk);
+                            for &key in chunk {
+                                p.observe(key);
+                            }
                             if chunk.len() == every {
                                 write_snapshot_file(Path::new(path), &p.to_snapshot_bytes())
                                     .map_err(|e| CliError::Io {

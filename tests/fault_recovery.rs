@@ -12,9 +12,14 @@
 //! 3. **The quorum pipeline degrades gracefully.** Faulty sites are
 //!    excluded with a reason and the merge report widens the error
 //!    bound; only falling below quorum is a hard (typed) failure.
+//! 4. **Persistence cadence is invisible.** `fi top --snapshot-every N`
+//!    only chooses when state hits disk: its report and final snapshot
+//!    equal those of the run without the flag.
 
+use frequent_items::cli::{self, Options};
 use frequent_items::prelude::*;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn sketch_of(ids: &[u64], seed: u64) -> CountSketch {
     let mut s = CountSketch::new(SketchParams::new(4, 64), seed);
@@ -265,4 +270,56 @@ fn snapshot_file_write_is_atomic_and_rereadable() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A Zipf(1.1) token text of `n` whitespace-separated tokens.
+fn zipf_text(n: usize, seed: u64) -> String {
+    let stream = Zipf::new(5_000, 1.1).stream(n, seed, ZipfStreamKind::Sampled);
+    let tokens: Vec<String> = stream.iter().map(|k| format!("t{}", k.raw())).collect();
+    tokens.join(" ")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `--snapshot-every` cannot change a report: on a small, heavily
+    /// colliding sketch (`-k 10 -b 64 -t 3`) the periodic-persistence
+    /// run prints the same report and leaves the same final snapshot
+    /// bytes as the run that only writes at the end.
+    #[test]
+    fn prop_snapshot_every_does_not_change_the_report(
+        every in 1usize..=400,
+        seed: u64,
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("fi-snapshot-every-{}-{case}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let text = zipf_text(20_000, seed);
+        let base = Options {
+            command: "top".into(),
+            k: 10,
+            rows: 3,
+            buckets: 64,
+            ..Default::default()
+        };
+        let periodic = Options {
+            snapshot: Some(path("a.csnp")),
+            snapshot_every: every,
+            ..base.clone()
+        };
+        let once = Options {
+            snapshot: Some(path("b.csnp")),
+            ..base
+        };
+        let periodic_report = cli::run_top(&periodic, &text).unwrap();
+        let once_report = cli::run_top(&once, &text).unwrap();
+        let a = std::fs::read(path("a.csnp")).unwrap();
+        let b = std::fs::read(path("b.csnp")).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(periodic_report, once_report, "every = {}, seed = {}", every, seed);
+        prop_assert!(a == b, "final snapshots differ: every = {every}, seed = {seed}");
+    }
 }
