@@ -8,8 +8,7 @@
 //! `n_q ≤ est ≤ n_q + ε·F₁^{res}` w.h.p. with `b = ⌈e/ε⌉`, versus
 //! Count-Sketch's two-sided `±ε·sqrt(F₂^{res})`. Comparing the two on the
 //! same `(t, b)` grid isolates exactly what the paper's sign hashes buy —
-//! the `bench_ablation` benchmark and `harness ablation` experiment do
-//! this.
+//! the `harness ablation` experiment does this.
 
 use crate::traits::{sort_candidates, StreamSummary};
 use cs_hash::{BucketHasher, ItemKey, PairwiseHash, SeedSequence};

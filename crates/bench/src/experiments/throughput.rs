@@ -1,7 +1,6 @@
 //! **Runtime table** — wall-clock update and query throughput of every
-//! algorithm on one Zipf(1.0) stream (criterion gives precise per-op
-//! numbers; this gives EXPERIMENTS.md one comparable table without
-//! parsing criterion output).
+//! algorithm on one Zipf(1.0) stream, as one comparable table for
+//! EXPERIMENTS.md.
 //!
 //! Every number is the **median of `scale.trials` independent timed
 //! runs** (fresh algorithm instance per run): single-shot wall-clock
@@ -120,8 +119,8 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
         );
     };
 
-    // Count-Sketch: batched absorb (the default ingestion path), the
-    // per-item scalar loop it replaced, and the fast-hash variant.
+    // Count-Sketch with the paper's pairwise hashes, then the fast-hash
+    // variant.
     let (upd, q) = measure(
         trials,
         &stream,
@@ -134,21 +133,6 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
         Some(&|s: &CountSketch, p| s.estimate(p) as u64),
     );
     push("count-sketch", upd, q);
-
-    let (upd, q) = measure(
-        trials,
-        &stream,
-        &probes,
-        |st| {
-            let mut s = CountSketch::new(params, 1);
-            for key in st.iter() {
-                s.update(key, 1);
-            }
-            s
-        },
-        Some(&|s: &CountSketch, p| s.estimate(p) as u64),
-    );
-    push("count-sketch (scalar update)", upd, q);
 
     let (upd, q) = measure(
         trials,

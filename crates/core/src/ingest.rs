@@ -1,116 +1,35 @@
-//! Batched, branch-free ingestion for the Count-Sketch.
+//! Slice-at-a-time ingestion for the Count-Sketch.
 //!
-//! The scalar [`GenericCountSketch::update`] pays per item: a hash/sign
-//! virtual-ish call pair per row, an overflow check, and (on the exact
-//! tier) an `i128` widening plus a saturation-bitset store. For the
-//! throughput experiments — millions of unit-weight arrivals — almost
-//! none of that is needed almost all of the time. This module amortizes
-//! it over blocks:
-//!
-//! 1. Keys are processed in blocks of [`BLOCK`]; the block is hashed
-//!    into stack-allocated row-major lanes (buckets and signs for every
-//!    row), and only then scattered into the counter array row by row.
-//!    Separating the hash pass from the scatter pass keeps the hash
-//!    coefficients pinned in registers — interleaved with counter
-//!    stores, the compiler must conservatively reload them, because it
-//!    cannot prove the stores don't alias the hasher storage. The hash
-//!    pass walks keys in the outer loop and rows inside, which keeps all
-//!    `2t` independent evaluation chains of one key in flight at once —
-//!    measured ~2× faster on the polynomial family than hashing one row
-//!    across the whole block at a time ([`BucketHasher::bucket_block`]
-//!    remains the per-row interface for callers that want it, and the
-//!    `micro` benchmark compares both shapes).
-//! 2. The overflow check runs once per block, not once per cell: the
-//!    sketch's `abs_mass` watermark bounds every `|counter|`, so
-//!    `abs_mass + n·|w| ≤ i64::MAX` proves the whole block cannot clamp
-//!    and the adds run in pure `i64` — no `i128`, no branches, no bitset
-//!    stores. Only when headroom is exhausted (after ~2^63 absolute mass,
-//!    i.e. essentially never for realistic streams) does the block fall
-//!    back to the exact per-item clamp-and-flag tier.
-//!
-//! Both tiers produce **bit-identical** counters and saturation flags to
-//! a sequence of scalar `update` calls — the fast tier is only entered
-//! when clamping is provably impossible, and the exact tier *is* the
-//! scalar path. The property tests at the bottom pin this equivalence
-//! down, including at weights within a few units of `i64::MAX`.
+//! [`GenericCountSketch::update_batch`] and
+//! [`GenericCountSketch::update_batch_weighted`] are loops over the
+//! paper's `ADD(C, q)` ([`GenericCountSketch::update`]): the scalar
+//! update is the only write kernel, so a batch leaves exactly the
+//! counters and saturation flags that per-key updates leave. The
+//! property tests at the bottom pin this down, including at weights
+//! within a few units of `i64::MAX`.
 
 use crate::sketch::GenericCountSketch;
 use cs_hash::{BucketHasher, ItemKey, SignHasher};
 
-/// Keys hashed per block. 32 keeps the bucket and sign lanes for a
-/// 16-row sketch in 8 KiB of stack — comfortably inside L1 — while
-/// giving the out-of-order core far more independent work than it can
-/// retire.
+/// Keys per block for the slice-at-a-time passes built on the sketch:
+/// the max-change and relative-change candidate passes hoist each
+/// block's probes into one batch-estimate call, and the read path's
+/// [`crate::sketch::EstimateBatchScratch`] lanes are two blocks wide.
 pub const BLOCK: usize = 32;
 
-/// Widest sketch the stack lanes cover. Taller sketches (rare: the
-/// paper's `t` is `O(log n/δ)`, and the repo's experiments top out at
-/// `t = 11`) take the scalar-per-key fallback inside the same headroom
-/// scheme. Shared with the read path's batch-estimate lanes
-/// ([`crate::sketch::EstimateBatchScratch`]).
-pub(crate) const LANE_ROWS: usize = 16;
-
 impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
-    /// Adds one occurrence of every key in `keys`, equivalent to (and
-    /// bit-identical with) calling [`Self::add`] per key in order.
+    /// Adds one occurrence of every key in `keys`, equivalent to calling
+    /// [`Self::add`] per key in order.
     pub fn update_batch(&mut self, keys: &[ItemKey]) {
         self.update_batch_weighted(keys, 1);
     }
 
     /// Adds `weight` occurrences of every key in `keys`, equivalent to
-    /// (and bit-identical with) calling [`Self::update`] per key in
-    /// order — same counters, same saturation flags.
+    /// calling [`Self::update`] per key in order — same counters, same
+    /// saturation flags.
     pub fn update_batch_weighted(&mut self, keys: &[ItemKey], weight: i64) {
-        // Row-major stack lanes: lane `i*BLOCK + j` holds row i's cell for
-        // the j-th key of the current block.
-        let mut buckets = [0usize; BLOCK * LANE_ROWS];
-        let mut signs = [0i64; BLOCK * LANE_ROWS];
-        let lanes_fit = self.rows <= LANE_ROWS;
-        for chunk in keys.chunks(BLOCK) {
-            let n = chunk.len();
-            match self.headroom_after(n, weight) {
-                Some(mass) => {
-                    self.abs_mass = mass;
-                    if lanes_fit {
-                        // Hash pass: all 2t chains of one key in flight
-                        // together, no counter stores in between.
-                        for (j, key) in chunk.iter().enumerate() {
-                            let k = key.raw();
-                            let hs = self.hashers.iter().zip(&self.signs);
-                            for (i, (h, sg)) in hs.enumerate() {
-                                buckets[i * BLOCK + j] = h.bucket(k);
-                                signs[i * BLOCK + j] = sg.sign(k);
-                            }
-                        }
-                        // Scatter pass: plain i64 adds, row by row.
-                        for (i, row) in self.counters.chunks_exact_mut(self.buckets).enumerate() {
-                            let bl = &buckets[i * BLOCK..i * BLOCK + n];
-                            let sl = &signs[i * BLOCK..i * BLOCK + n];
-                            for (&b, &s) in bl.iter().zip(sl) {
-                                // In-range by BucketHasher's contract;
-                                // the check folds into the row slice.
-                                row[b] += s * weight;
-                            }
-                        }
-                    } else {
-                        for key in chunk {
-                            let k = key.raw();
-                            for i in 0..self.rows {
-                                let bucket = self.hashers[i].bucket(k);
-                                let sign = self.signs[i].sign(k);
-                                self.counters[i * self.buckets + bucket] += sign * weight;
-                            }
-                        }
-                    }
-                }
-                // Headroom exhausted: the exact tier checks (and clamps)
-                // every cell individually, exactly like scalar ingestion.
-                None => {
-                    for &key in chunk {
-                        self.update_exact(key, weight);
-                    }
-                }
-            }
+        for &key in keys {
+            self.update(key, weight);
         }
     }
 }
@@ -189,7 +108,6 @@ mod tests {
         let mut bat = sketch();
         bat.update_batch_weighted(&keys, w);
         assert_identical(&seq, &bat);
-        #[cfg(feature = "saturation-tracking")]
         assert!(
             !bat.health().is_healthy(),
             "expected clamping to be flagged"

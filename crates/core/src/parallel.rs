@@ -48,9 +48,8 @@ use cs_stream::{Stream, TurnstileStream};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-/// Keys buffered per shard before a job is sent to the worker. Always a
-/// multiple of [`crate::ingest::BLOCK`], and jobs are emitted **exactly
-/// at** this length, so the job (and hence block) boundaries each worker
+/// Keys buffered per shard before a job is sent to the worker. Jobs are
+/// emitted **exactly at** this length, so the job boundaries each worker
 /// sees are a pure function of the stream content — never of how callers
 /// happened to slice their `ingest` calls.
 const FLUSH_LEN: usize = 1024;
@@ -72,10 +71,10 @@ enum Job {
 /// A long-lived pool of sketch workers fed by bounded channels.
 ///
 /// Each worker owns a private [`CountSketch`] built from the same
-/// `(params, seed)` and ingests its key-hash shard through the block
-/// engine ([`crate::ingest`]). [`SketchPool::finish`] joins the workers
-/// and merges additively; see the module docs for the exact determinism
-/// contract.
+/// `(params, seed)` and ingests its key-hash shard with
+/// [`CountSketch::update_batch_weighted`]. [`SketchPool::finish`] joins
+/// the workers and merges additively; see the module docs for the exact
+/// determinism contract.
 ///
 /// ```
 /// use cs_core::parallel::SketchPool;
@@ -382,7 +381,6 @@ mod tests {
         for _ in 0..3 {
             sequential.update(key, i64::MAX);
         }
-        #[cfg(feature = "saturation-tracking")]
         assert!(sequential.health().saturated_cells > 0);
         for workers in [1, 2, 4, 8] {
             let mut pool = SketchPool::new(params, 1, workers);

@@ -110,8 +110,6 @@ pub struct GenericCountSketch<H, S> {
     /// cell no longer tracks its true signed mass, so estimates that
     /// probe it are suspect — [`GenericCountSketch::estimate_checked`]
     /// excludes such rows and [`GenericCountSketch::health`] reports them.
-    /// Maintained only with the `saturation-tracking` feature (default
-    /// on); without it the bitset stays all-zero and clamping is silent.
     pub(crate) saturated: Vec<u64>,
     pub(crate) hashers: Vec<H>,
     pub(crate) signs: Vec<S>,
@@ -120,9 +118,9 @@ pub struct GenericCountSketch<H, S> {
     /// Upper bound on `|counter|` over every cell: the saturating sum of
     /// `|weight|` across all updates ever absorbed (refreshed to the
     /// tight `max |counter|` after bulk counter writes). While
-    /// `abs_mass + n·|w| ≤ i64::MAX` a block of `n` weight-`w` updates
-    /// provably cannot overflow any cell, so ingestion may take the
-    /// branch-free pure-`i64` path and skip the per-cell `i128`
+    /// `abs_mass + |w| ≤ i64::MAX` an update of weight `w` provably
+    /// cannot overflow any cell, so [`GenericCountSketch::update`] may
+    /// take the branch-free pure-`i64` path and skip the per-cell `i128`
     /// clamp-and-flag entirely — the two-tier overflow scheme.
     pub(crate) abs_mass: u64,
 }
@@ -283,13 +281,13 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// Counters never wrap. Two-tier overflow handling: while the
     /// `abs_mass` watermark proves no cell can reach the `i64` limits the
     /// additions run branch-free in pure `i64`; once headroom is exhausted
-    /// every update falls back to [`Self::update_exact`], whose `i128`
+    /// every update falls back to an exact tier, whose `i128`
     /// clamp-and-flag is surfaced by [`Self::health`] and
     /// [`Self::estimate_checked`]. Both tiers produce bit-identical
     /// counters — the fast tier is only taken when clamping cannot occur.
     #[inline]
     pub fn update(&mut self, key: ItemKey, weight: i64) {
-        match self.headroom_after(1, weight) {
+        match self.headroom_after(weight) {
             Some(mass) => {
                 self.abs_mass = mass;
                 let k = key.raw();
@@ -305,11 +303,10 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
 
     /// The exact slow tier: carries every cell sum in `i128` so even
     /// `sign · i64::MIN` is handled correctly, clamping and flagging any
-    /// cell that would overflow. Public so the microbenchmarks can
-    /// compare the tiers directly; [`Self::update`] dispatches here
-    /// automatically when headroom runs out.
+    /// cell that would overflow. [`Self::update`] dispatches here when
+    /// headroom runs out.
     #[inline]
-    pub fn update_exact(&mut self, key: ItemKey, weight: i64) {
+    fn update_exact(&mut self, key: ItemKey, weight: i64) {
         self.abs_mass = self.abs_mass.saturating_add(weight.unsigned_abs());
         let k = key.raw();
         for i in 0..self.rows {
@@ -321,13 +318,13 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         }
     }
 
-    /// The watermark after absorbing `items` updates of `weight` each, or
-    /// `None` if some cell could then exceed the `i64` range. Since
+    /// The watermark after absorbing one update of `weight`, or `None`
+    /// if some cell could then exceed the `i64` range. Since
     /// `|counter| ≤ abs_mass` holds for every cell, `Some` proves the
-    /// whole block is clamp-free.
+    /// update is clamp-free.
     #[inline]
-    pub(crate) fn headroom_after(&self, items: usize, weight: i64) -> Option<u64> {
-        let total = self.abs_mass as u128 + items as u128 * weight.unsigned_abs() as u128;
+    fn headroom_after(&self, weight: i64) -> Option<u64> {
+        let total = self.abs_mass as u128 + weight.unsigned_abs() as u128;
         if total <= i64::MAX as u128 {
             Some(total as u64)
         } else {
@@ -350,8 +347,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     }
 
     /// Clamps an exact `i128` cell value into `i64`, flagging the cell as
-    /// saturated if clamping happened (flag elided without the
-    /// `saturation-tracking` feature).
+    /// saturated if clamping happened.
     #[inline]
     fn clamp_and_flag(&mut self, idx: usize, exact: i128) -> i64 {
         if exact > i128::from(i64::MAX) {
@@ -365,20 +361,10 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         }
     }
 
-    /// Records that cell `idx` has been clamped. With the
-    /// `saturation-tracking` feature disabled this compiles to nothing:
-    /// the bitset stays all-zero, trading diagnosability for one fewer
-    /// random store on the (already slow) clamping tier.
+    /// Records that cell `idx` has been clamped.
     #[inline]
     fn flag_saturated(&mut self, idx: usize) {
-        #[cfg(feature = "saturation-tracking")]
-        {
-            self.saturated[idx / 64] |= 1 << (idx % 64);
-        }
-        #[cfg(not(feature = "saturation-tracking"))]
-        {
-            let _ = idx;
-        }
+        self.saturated[idx / 64] |= 1 << (idx % 64);
     }
 
     /// Whether the counter at `(row, bucket)` has ever been clamped.
@@ -412,11 +398,8 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         }
     }
 
-    /// Adds every occurrence of a stream, each with `weight`.
-    ///
-    /// Routed through the block-lane batch engine ([`crate::ingest`]);
-    /// the resulting counters and saturation flags are bit-identical to
-    /// calling [`Self::update`] per occurrence.
+    /// Adds every occurrence of a stream, each with `weight`: one
+    /// [`Self::update`] per occurrence.
     pub fn absorb(&mut self, stream: &Stream, weight: i64) {
         self.update_batch_weighted(stream.as_slice(), weight);
     }
@@ -643,13 +626,11 @@ impl EstimateScratch {
     }
 }
 
-/// Reusable lanes for [`GenericCountSketch::estimate_batch_with_scratch`]
-/// — the read-path sibling of the block engine's stack lanes
-/// ([`crate::ingest`]). Row-major:
-/// lane `i*BLOCK + j` holds row `i`'s sign-tagged bucket (and later its
-/// signed row estimate) for the j-th key of the current block. Create
-/// once and reuse; zeroing ~16 KiB of lanes per call would eat the
-/// batch win.
+/// Reusable lanes for [`GenericCountSketch::estimate_batch_with_scratch`].
+/// Row-major: lane `i*BLOCK + j` holds row `i`'s sign-tagged bucket (and
+/// later its signed row estimate) for the j-th key of the current block.
+/// Create once and reuse; zeroing ~16 KiB of lanes per call would eat
+/// the batch win.
 #[derive(Debug, Clone)]
 pub struct EstimateBatchScratch {
     /// Bucket index with the row's ±1 sign packed into bit 63 (a bucket
@@ -664,16 +645,19 @@ pub struct EstimateBatchScratch {
     pub(crate) sort: Vec<i64>,
 }
 
-/// Keys per read-path block. Twice the write path's
-/// [`crate::ingest::BLOCK`]: the gather pass lives on memory-level
-/// parallelism once the counter array outgrows L1, and a wider block
-/// keeps more independent counter loads in flight; reads have no
-/// two-tier overflow bookkeeping, so the wider lanes stay cheap.
+/// Keys per read-path block: twice [`crate::ingest::BLOCK`]. The gather
+/// pass lives on memory-level parallelism once the counter array
+/// outgrows L1, and a wider block keeps more independent counter loads
+/// in flight.
 pub(crate) const READ_BLOCK: usize = 2 * crate::ingest::BLOCK;
 
-/// Lane count: one read block per row, sketch depths up to the
-/// ingestion engine's [`crate::ingest::LANE_ROWS`].
-const BATCH_LANES: usize = READ_BLOCK * crate::ingest::LANE_ROWS;
+/// Deepest sketch the batch-estimate lanes cover. Taller sketches (rare:
+/// the paper's `t` is `O(log n/δ)`, and the repo's experiments top out
+/// at `t = 11`) take the scalar path per key.
+const LANE_ROWS: usize = 16;
+
+/// Lane count: one read block per row, sketch depths up to [`LANE_ROWS`].
+const BATCH_LANES: usize = READ_BLOCK * LANE_ROWS;
 
 impl EstimateBatchScratch {
     /// Fresh (zeroed) lanes and empty combiner buffers.
@@ -700,11 +684,10 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// estimates `s_i(q)·C[i][h_i(q)]` (saturating multiply included)
     /// feed the same combiner; only the order of memory traffic changes.
     ///
-    /// The kernel mirrors the write path's block engine
-    /// ([`crate::ingest`]): each block of 64 keys is
-    /// canonicalized once per hash family and hashed into the scratch
-    /// lanes rows-outer (every key's `2t` multiply chains are
-    /// independent and pipeline), then the counters are gathered
+    /// Each block of 64 keys is canonicalized once per hash family and
+    /// hashed into the scratch lanes rows-outer (every key's `2t`
+    /// multiply chains are independent and pipeline), then the counters
+    /// are gathered
     /// **row-major** — each row's bucket array is walked for the whole
     /// block, keeping a block's worth of independent counter loads in
     /// flight per row — and finally each key's column is combined, at
@@ -722,7 +705,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     ) {
         const BLOCK: usize = READ_BLOCK;
         out.clear();
-        let lanes_fit = self.rows <= crate::ingest::LANE_ROWS;
+        let lanes_fit = self.rows <= LANE_ROWS;
         if !lanes_fit {
             for &key in keys {
                 self.row_estimates(key, &mut scratch.rows);
@@ -1102,7 +1085,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn batch_estimate_matches_scalar_on_saturated_cells() {
         let mut s = CountSketch::new(SketchParams::new(3, 4), 5);
         for id in 0..16u64 {
@@ -1145,7 +1127,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn update_saturates_instead_of_wrapping() {
         let mut s = CountSketch::new(SketchParams::new(1, 1), 0);
         s.update(ItemKey(1), i64::MAX);
@@ -1162,7 +1143,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn negative_saturation_clamps_at_min() {
         let mut s = CountSketch::new(SketchParams::new(1, 1), 0);
         s.update(ItemKey(1), i64::MIN);
@@ -1175,7 +1155,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn strict_merge_refuses_overflow_and_leaves_self_untouched() {
         let params = SketchParams::new(1, 1);
         let mut a = CountSketch::new(params, 0);
@@ -1206,7 +1185,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn estimate_checked_excludes_saturated_rows() {
         // Row 0 of a 3-row sketch saturates; the checked estimate should
         // report 2 clean rows and still produce a sane value.
@@ -1231,7 +1209,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn clear_resets_saturation() {
         let mut s = CountSketch::new(SketchParams::new(1, 1), 0);
         s.update(ItemKey(1), i64::MAX);

@@ -295,7 +295,7 @@ where
         *w = r.u64()?;
     }
     // The counters were filled wholesale: re-establish the headroom
-    // watermark the batched ingestion fast path relies on.
+    // watermark the fast update tier relies on.
     sketch.refresh_mass_floor();
     Ok(sketch)
 }
@@ -814,7 +814,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn saturation_flags_survive_the_roundtrip() {
         let mut s = CountSketch::new(SketchParams::new(1, 1), 0);
         s.update(ItemKey(1), i64::MAX);
@@ -965,7 +964,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn inspect_counts_saturated_cells_per_row() {
         let mut s = CountSketch::new(SketchParams::new(1, 1), 0);
         s.update(ItemKey(1), i64::MAX);

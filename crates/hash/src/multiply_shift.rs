@@ -58,14 +58,6 @@ impl BucketHasher for MultiplyShift {
         (self.a.wrapping_mul(key).wrapping_add(self.b) >> (64 - self.d)) as usize
     }
 
-    #[inline]
-    fn bucket_block(&self, keys: &[u64], out: &mut [usize]) {
-        let shift = 64 - self.d;
-        for (o, &k) in out[..keys.len()].iter_mut().zip(keys) {
-            *o = (self.a.wrapping_mul(k).wrapping_add(self.b) >> shift) as usize;
-        }
-    }
-
     fn num_buckets(&self) -> usize {
         1usize << self.d
     }

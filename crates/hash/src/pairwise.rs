@@ -80,16 +80,6 @@ impl BucketHasher for PairwiseHash {
     }
 
     #[inline]
-    fn bucket_block(&self, keys: &[u64], out: &mut [usize]) {
-        // One loop of independent multiply chains: with the divide gone
-        // the evaluations have no loop-carried dependency and pipeline
-        // across keys.
-        for (o, &k) in out[..keys.len()].iter_mut().zip(keys) {
-            *o = self.range.rem(self.field_eval(k)) as usize;
-        }
-    }
-
-    #[inline]
     fn canon(&self, key: u64) -> u64 {
         prime::fold(key)
     }
@@ -193,17 +183,6 @@ mod tests {
             (rate - want).abs() < 0.01,
             "collision rate {rate}, expected ~{want}"
         );
-    }
-
-    #[test]
-    fn bucket_block_matches_scalar() {
-        let h = PairwiseHash::draw(&mut SeedSequence::new(11), 1000);
-        let keys: Vec<u64> = (0..257u64).map(|k| k.wrapping_mul(0x9E37_79B9)).collect();
-        let mut out = vec![0usize; keys.len()];
-        h.bucket_block(&keys, &mut out);
-        for (j, &k) in keys.iter().enumerate() {
-            assert_eq!(out[j], h.bucket(k));
-        }
     }
 
     proptest! {

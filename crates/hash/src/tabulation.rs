@@ -56,16 +56,6 @@ impl BucketHasher for TabulationHash {
         ((u128::from(self.raw(key)) * u128::from(self.range)) >> 64) as usize
     }
 
-    #[inline]
-    fn bucket_block(&self, keys: &[u64], out: &mut [usize]) {
-        // The 8 table lookups per key are the cost here; batching lets
-        // the loads of neighbouring keys overlap instead of serializing
-        // behind each key's final XOR.
-        for (o, &k) in out[..keys.len()].iter_mut().zip(keys) {
-            *o = ((u128::from(self.raw(k)) * u128::from(self.range)) >> 64) as usize;
-        }
-    }
-
     fn num_buckets(&self) -> usize {
         self.range as usize
     }
@@ -82,13 +72,6 @@ impl SignHasher for TabulationHash {
             1
         } else {
             -1
-        }
-    }
-
-    #[inline]
-    fn sign_block(&self, keys: &[u64], out: &mut [i64]) {
-        for (o, &k) in out[..keys.len()].iter_mut().zip(keys) {
-            *o = 1 - 2 * ((self.raw(k) & 1) as i64);
         }
     }
 

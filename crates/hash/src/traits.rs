@@ -15,24 +15,6 @@ pub trait BucketHasher {
     /// Maps a key to a bucket in `[0, self.num_buckets())`.
     fn bucket(&self, key: u64) -> usize;
 
-    /// Maps a block of keys to buckets: `out[j] = bucket(keys[j])`.
-    ///
-    /// Semantically identical to calling [`BucketHasher::bucket`] per key
-    /// — implementations may only pipeline, never change the mapping. The
-    /// batched sketch ingestion hot loop calls this once per row per
-    /// block, so the per-key evaluations are independent and specialized
-    /// implementations let them overlap in the CPU pipeline instead of
-    /// serializing behind per-item loop control.
-    ///
-    /// # Panics
-    /// Panics if `out.len() < keys.len()`.
-    #[inline]
-    fn bucket_block(&self, keys: &[u64], out: &mut [usize]) {
-        for (o, &k) in out[..keys.len()].iter_mut().zip(keys) {
-            *o = self.bucket(k);
-        }
-    }
-
     /// Canonicalizes a key for repeated hashing through this family.
     ///
     /// Contract: `bucket(key) == bucket_canon(canon(key))` for every
@@ -75,21 +57,6 @@ pub trait SignHasher {
     /// Returns `+1` or `-1` for the key.
     fn sign(&self, key: u64) -> i64;
 
-    /// Evaluates a block of keys: `out[j] = sign(keys[j])`.
-    ///
-    /// Semantically identical to per-key [`SignHasher::sign`] calls; see
-    /// [`BucketHasher::bucket_block`] for why batched ingestion wants the
-    /// block form.
-    ///
-    /// # Panics
-    /// Panics if `out.len() < keys.len()`.
-    #[inline]
-    fn sign_block(&self, keys: &[u64], out: &mut [i64]) {
-        for (o, &k) in out[..keys.len()].iter_mut().zip(keys) {
-            *o = self.sign(k);
-        }
-    }
-
     /// Canonicalizes a key for repeated sign evaluation; the same
     /// contract as [`BucketHasher::canon`], for this trait's
     /// [`SignHasher::sign_canon`]. The default is the identity.
@@ -112,9 +79,6 @@ impl<T: BucketHasher + ?Sized> BucketHasher for Box<T> {
     fn bucket(&self, key: u64) -> usize {
         (**self).bucket(key)
     }
-    fn bucket_block(&self, keys: &[u64], out: &mut [usize]) {
-        (**self).bucket_block(keys, out)
-    }
     fn canon(&self, key: u64) -> u64 {
         (**self).canon(key)
     }
@@ -132,9 +96,6 @@ impl<T: BucketHasher + ?Sized> BucketHasher for Box<T> {
 impl<T: SignHasher + ?Sized> SignHasher for Box<T> {
     fn sign(&self, key: u64) -> i64 {
         (**self).sign(key)
-    }
-    fn sign_block(&self, keys: &[u64], out: &mut [i64]) {
-        (**self).sign_block(keys, out)
     }
     fn canon(&self, key: u64) -> u64 {
         (**self).canon(key)
@@ -189,27 +150,5 @@ mod tests {
         let b: Box<dyn SignHasher> = Box::new(Fixed);
         assert_eq!(b.sign(2), 1);
         assert_eq!(b.sign(3), -1);
-    }
-
-    #[test]
-    fn default_block_methods_match_scalar() {
-        let keys = [0u64, 1, 2, 3, 4, 5, 6];
-        let mut buckets = [0usize; 7];
-        Fixed.bucket_block(&keys, &mut buckets);
-        let mut signs = [0i64; 7];
-        Fixed.sign_block(&keys, &mut signs);
-        for (j, &k) in keys.iter().enumerate() {
-            assert_eq!(buckets[j], Fixed.bucket(k));
-            assert_eq!(signs[j], Fixed.sign(k));
-        }
-    }
-
-    #[test]
-    fn block_methods_tolerate_oversized_out() {
-        let keys = [1u64, 2];
-        let mut buckets = [99usize; 5];
-        Fixed.bucket_block(&keys, &mut buckets);
-        assert_eq!(&buckets[..2], &[Fixed.bucket(1), Fixed.bucket(2)]);
-        assert_eq!(buckets[2], 99, "tail untouched");
     }
 }

@@ -5,9 +5,11 @@
 //!
 //! Differences from upstream worth knowing:
 //!
-//! * **No shrinking.** A failing case panics with the regular assert
-//!   message; inputs are deterministic per (test name, case index), so a
-//!   failure reproduces by rerunning the test.
+//! * **No shrinking.** A failing case panics with a message naming the
+//!   test path, the case index `i` and the case count, followed by the
+//!   original assert message. Inputs are a pure function of (test path,
+//!   case index), so rerunning the test replays the same cases;
+//!   `PROPTEST_CASES=<i + 1>` stops the run right after the failing case.
 //! * Generation is a SplitMix64 stream keyed by the test's module path
 //!   and name, so adding cases to one test does not perturb another.
 
@@ -352,17 +354,37 @@ macro_rules! __proptest_fns {
         fn $name() {
             let __config: $crate::ProptestConfig = $cfg;
             let __cases = __config.resolved_cases();
+            let __path = concat!(module_path!(), "::", stringify!($name));
             for __case in 0..u64::from(__cases) {
-                let mut __rng = $crate::TestRng::deterministic(
-                    concat!(module_path!(), "::", stringify!($name)),
-                    __case,
-                );
-                $crate::__proptest_bind!(__rng; $($params)*);
-                $body
+                let __outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(|| {
+                    let mut __rng = $crate::TestRng::deterministic(__path, __case);
+                    $crate::__proptest_bind!(__rng; $($params)*);
+                    $body
+                }));
+                if let Err(__payload) = __outcome {
+                    $crate::fail_case(__path, __case, __cases, __payload);
+                }
             }
         }
         $crate::__proptest_fns!(($cfg) $($rest)*);
     };
+}
+
+/// Re-panics for a failed case with a message that names the test, the
+/// case index and the case count, followed by the case's own message.
+#[doc(hidden)]
+pub fn fail_case(
+    path: &str,
+    case: u64,
+    cases: u32,
+    payload: Box<dyn std::any::Any + Send>,
+) -> ! {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(non-string panic payload)");
+    panic!("proptest {path}: case {case} of {cases} failed: {message}");
 }
 
 /// The property-test macro: each `#[test] fn name(params) { body }` runs
@@ -459,5 +481,20 @@ mod tests {
             v.sort_unstable();
             prop_assert!(v.windows(2).all(|w| w[0] <= w[1]));
         }
+
+        #[test]
+        #[should_panic(expected = "case 0")]
+        fn failing_property_names_its_case(x in 0u64..10) {
+            prop_assert!(x >= 10, "x = {} is below 10", x);
+        }
+    }
+
+    #[test]
+    fn failure_message_names_test_case_count_and_cause() {
+        let payload: Box<dyn std::any::Any + Send> = Box::new(String::from("boom"));
+        let fail = std::panic::AssertUnwindSafe(|| crate::fail_case("m::t", 3, 8, payload));
+        let err = std::panic::catch_unwind(fail).expect_err("fail_case always panics");
+        let message = err.downcast_ref::<String>().expect("formatted message");
+        assert_eq!(message, "proptest m::t: case 3 of 8 failed: boom");
     }
 }

@@ -8,7 +8,7 @@
 //! fi top --snapshot s.csnp log.1     # persist state, then later
 //! fi top --resume s.csnp log.2       # continue counting across runs
 //! fi top --snapshot s.csnp --snapshot-every 10000 log  # checkpoint as you go
-//! fi top --threads 4 access.log      # sharded multi-core ingestion
+//! fi top --threads 4 access.log      # sharded multi-core ingestion (1..=256)
 //! fi inspect s.csnp                  # what's inside a snapshot?
 //! fi shard --sites 3 --out-prefix site access.log   # split by key shard
 //! fi serve --listen 127.0.0.1:7700 --sites 3 --quorum 2   # coordinator

@@ -28,6 +28,9 @@
 //! the same per-site files (exclusion comment lines aside), which the
 //! CI net-smoke job asserts with a literal `diff`.
 //!
+//! `--threads N` shards `top` ingestion over N worker threads, each
+//! holding a full sketch; N above [`MAX_THREADS`] is a usage error.
+//!
 //! `--resume` restores APPROXTOP state from a checksummed snapshot
 //! written by an earlier `--snapshot` run, so a long-lived counting job
 //! survives restarts without rereading history; `--snapshot-every N`
@@ -74,6 +77,10 @@ pub const EXIT_USAGE: i32 = 2;
 pub const EXIT_IO: i32 = 3;
 /// Exit code for [`CliError::Corrupt`].
 pub const EXIT_CORRUPT: i32 = 4;
+
+/// Largest accepted `--threads`. Each worker is an OS thread holding a
+/// full sketch, so the count is bounded like any other outside input.
+pub const MAX_THREADS: usize = 256;
 
 impl CliError {
     /// The process exit code this error class maps to (never 0).
@@ -127,7 +134,7 @@ pub struct Options {
     /// Restore state from this snapshot before processing (`top` only).
     pub resume: Option<String>,
     /// Ingestion worker threads (`top` with count-sketch only; 1 =
-    /// sequential).
+    /// sequential; at most [`MAX_THREADS`]).
     pub threads: usize,
     /// Coordinator listen address (`serve` only).
     pub listen: Option<String>,
@@ -316,6 +323,9 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if opts.threads == 0 {
         return Err("--threads must be at least 1".into());
+    }
+    if opts.threads > MAX_THREADS {
+        return Err(format!("--threads must be at most {MAX_THREADS}"));
     }
     if opts.threads > 1 && (opts.command != "top" || opts.algorithm != "count-sketch") {
         return Err("--threads > 1 requires 'top' with the count-sketch algorithm".into());
@@ -1002,6 +1012,16 @@ mod tests {
         assert!(parse_args(&args("top --algorithm lossy --threads 2")).is_err());
         // threads = 1 is the sequential default, allowed anywhere.
         assert!(parse_args(&args("iceberg --threads 1")).is_ok());
+    }
+
+    #[test]
+    fn parse_rejects_threads_above_the_bound() {
+        // Parsing only: no worker thread is spawned for either value.
+        let at_bound = format!("top --threads {MAX_THREADS}");
+        assert_eq!(parse_args(&args(&at_bound)).unwrap().threads, MAX_THREADS);
+        let above = format!("top --threads {}", MAX_THREADS + 1);
+        assert!(parse_args(&args(&above)).is_err());
+        assert!(parse_args(&args("top --threads 100000000")).is_err());
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! End-to-end equivalence of the batched ingestion engine with scalar
-//! updates, across the public API surface: plain sketches, parallel
-//! sketching, the APPROXTOP processor, and mid-batch snapshots.
+//! End-to-end equivalence of batched ingestion (`absorb`,
+//! `update_batch`) with scalar updates, across the public API surface:
+//! plain sketches, parallel sketching, the APPROXTOP processor, and
+//! mid-batch snapshots.
 
 use frequent_items::prelude::*;
 use proptest::prelude::*;
@@ -32,7 +33,7 @@ fn absorb_is_bit_identical_to_scalar_updates() {
 
 #[test]
 fn parallel_batched_workers_equal_sequential_scalar() {
-    // sketch_stream_pooled's workers absorb through the block engine;
+    // sketch_stream_pooled's workers ingest through update_batch_weighted;
     // the merged result must still match a scalar one-thread pass.
     let stream = zipf_stream(30_000, 5);
     let params = SketchParams::new(5, 512);
